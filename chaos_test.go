@@ -32,16 +32,10 @@ const (
 	chaosSlowEnv   = "PROFESS_CHAOS_SLOWMS" // artificial per-simulation latency
 )
 
-// chaosExecOpts are the worker-side executor settings: a short TTL so
-// dead owners are taken over quickly, with a heartbeat comfortably
-// inside it so live owners never look dead.
+// chaosExecOpts are the worker-side executor settings: a short poll so
+// workers notice cells freed by killed owners quickly.
 func chaosExecOpts() ExecOptions {
-	return ExecOptions{
-		Parallelism: 2,
-		LeaseTTL:    2 * time.Second,
-		Heartbeat:   200 * time.Millisecond,
-		Poll:        50 * time.Millisecond,
-	}
+	return ExecOptions{Parallelism: 2, Poll: 50 * time.Millisecond}
 }
 
 // TestChaosWorkerProcess is the re-exec'd sweep worker, not a test in
@@ -90,8 +84,8 @@ func chaosWorkerCmd(t *testing.T, dir string, slowMS int) (*exec.Cmd, *bytes.Buf
 	return cmd, &out
 }
 
-// assertNoDebris checks the shared directory holds no lease files, no
-// takeover temporaries and no orphaned atomic-write temp files.
+// assertNoDebris checks the shared directory holds no lease files and
+// no orphaned atomic-write temp files.
 func assertNoDebris(t *testing.T, dir string) {
 	t.Helper()
 	for _, pattern := range []string{
@@ -128,7 +122,7 @@ func TestChaosKill9Resume(t *testing.T) {
 	dir := t.TempDir()
 
 	// Kill phase: start a deliberately slowed worker, SIGKILL it
-	// mid-sweep, repeat. Each round strands heartbeat-fresh leases, a
+	// mid-sweep, repeat. Each round strands unlocked lease files, a
 	// journal with dangling claims, and possibly a half-written temp
 	// file — exactly the crash states resume must absorb.
 	rng := rand.New(rand.NewSource(42)) // fixed seed: reproducible kill points
@@ -146,7 +140,7 @@ func TestChaosKill9Resume(t *testing.T) {
 	}
 
 	// Recovery phase: two fresh workers join concurrently and must both
-	// finish the sweep, stealing whatever the dead workers still hold.
+	// finish the sweep, claiming whatever the dead workers held.
 	w1, out1 := chaosWorkerCmd(t, dir, 0)
 	w2, out2 := chaosWorkerCmd(t, dir, 0)
 	if err := w1.Start(); err != nil {
@@ -295,7 +289,7 @@ func TestExecuteCancelLeavesResumableJournal(t *testing.T) {
 	if rep.Done >= rep.Cells {
 		t.Fatalf("all %d cells finished before cancellation; the resume leg tests nothing", rep.Cells)
 	}
-	// Leases must be gone the moment the call returns, not on TTL.
+	// Leases must be gone the moment the call returns.
 	if matches, _ := filepath.Glob(filepath.Join(dir, "leases", "*")); len(matches) != 0 {
 		t.Errorf("cancelled execute leaked leases: %v", matches)
 	}

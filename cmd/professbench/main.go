@@ -371,9 +371,9 @@ func main() {
 		if rep.Sampled > 0 {
 			fmt.Fprintf(os.Stderr, "professbench: execute: %d cells served by their sampled runs\n", rep.Sampled)
 		}
-		if rep.Resumed > 0 || rep.External > 0 || rep.Stolen > 0 || rep.Retries > 0 {
-			fmt.Fprintf(os.Stderr, "professbench: execute: %d resumed from journal, %d by other workers, %d leases taken over, %d retries\n",
-				rep.Resumed, rep.External, rep.Stolen, rep.Retries)
+		if rep.Resumed > 0 || rep.External > 0 || rep.Retries > 0 {
+			fmt.Fprintf(os.Stderr, "professbench: execute: %d resumed from journal, %d by other workers, %d retries\n",
+				rep.Resumed, rep.External, rep.Retries)
 		}
 		mallocs1, heap1 := memSnapshot()
 		lines = append(lines, benchLine{"plan+execute", time.Since(start), d, mallocs1 - mallocs0, heap1 - heap0})

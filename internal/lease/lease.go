@@ -1,394 +1,119 @@
 // Package lease coordinates crash-safe, multi-process sweep execution
-// through two durable primitives kept under a shared directory (in
-// practice the persistent run-cache directory):
+// through two primitives under a shared directory (in practice the
+// persistent run-cache directory):
 //
-//   - Leases: per-cell claim files created with O_CREATE|O_EXCL, so
-//     exactly one process owns a cell at a time across every process —
-//     and every host, when the directory is shared — pointed at the same
-//     sweep. A lease carries its owner id and plan hash; the owner's
-//     manager refreshes the file's mtime on a heartbeat, and a lease
-//     whose mtime is older than the TTL belongs to a presumed-dead owner
-//     and may be taken over. Takeover goes through rename (only one
-//     claimant's rename of the stale file can succeed), so two processes
-//     can never both "clean up" a stale lease and both claim the cell.
+//   - Leases: one lock file per cell, claimed with a non-blocking
+//     exclusive flock(2). The kernel drops the lock when the holder's
+//     descriptor closes or its process dies, kill -9 included, so a dead
+//     owner's cell is free at once. Processes on one host and a local
+//     filesystem only; NFS and other network filesystems are unsupported.
 //
-//   - A journal: an append-only JSONL file per sweep recording
-//     claimed/done/failed cell transitions keyed by run key. Every
-//     worker process appends to the same journal (O_APPEND, one write
-//     per record) and tail-reads it to learn what other workers have
-//     completed, so any process can join a sweep in flight or resume one
-//     whose workers were killed, skipping completed cells.
+//   - A journal: one append-only JSONL file per sweep of claimed, done
+//     and failed cell records (see Journal), through which any process
+//     joins a sweep in flight or resumes one whose workers were killed.
 //
-// Both primitives are advisory and self-healing: the simulation results
-// themselves live in the content-addressed run cache whose writes are
-// idempotent (two owners racing the same cell at worst write the same
-// bytes), so lease loss or journal corruption costs duplicated work,
+// Both are advisory: results live in the idempotent, content-addressed
+// run cache, so a lost lease or a corrupt journal costs duplicated work,
 // never wrong results.
 package lease
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
 	"time"
 )
 
-// ErrHeld reports that a lease is currently held by another live owner
-// (its file exists and its heartbeat is within the TTL).
+// ErrHeld reports that a lease is currently held by another live owner.
 var ErrHeld = errors.New("lease: held by a live owner")
 
-// DefaultTTL is how stale a lease's heartbeat may grow before other
-// processes may presume its owner dead and take the cell over.
-const DefaultTTL = 10 * time.Second
-
-// Options configures a Manager.
-type Options struct {
-	// Dir is the lease directory, created if missing.
-	Dir string
-	// Owner uniquely identifies this process ("host:pid:nonce" when
-	// empty). It is written into every lease file for the operational
-	// post-mortem: `cat` a stuck lease to see who held it.
-	Owner string
-	// Plan tags every lease this manager creates with the sweep (plan
-	// hash) it belongs to.
-	Plan string
-	// TTL is the takeover threshold (DefaultTTL when zero).
-	TTL time.Duration
-	// Heartbeat is the refresh period (TTL/4 when zero). It must stay
-	// well under TTL or live owners will be presumed dead.
-	Heartbeat time.Duration
-}
-
-// info is the lease file's JSON payload. Liveness is carried by the
-// file's mtime, not the payload; the payload exists for humans and for
-// the chaos harness's audits.
-type info struct {
-	Owner string    `json:"owner"`
-	Plan  string    `json:"plan,omitempty"`
-	Start time.Time `json:"start"`
-}
-
-// Manager acquires and heartbeats leases for one owner process.
+// Manager acquires leases for one owner process.
 type Manager struct {
-	dir   string
-	owner string
-	plan  string
-	ttl   time.Duration
-	beat  time.Duration
-
-	mu   sync.Mutex
-	held map[string]*Lease
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
+	dir, owner, plan string
 }
 
-// Lease is one held cell claim.
+// Lease is one held cell claim, owned by the goroutine that acquired it.
 type Lease struct {
-	m    *Manager
-	key  string
-	path string
-	// stolen reports the lease was acquired by expiring a dead owner's
-	// claim rather than by fresh creation.
-	stolen bool
-
-	mu   sync.Mutex
-	lost bool // the file vanished under us: we were presumed dead
-	rel  bool
+	f *os.File // nil once released
 }
 
-// defaultOwner builds a unique owner id.
-func defaultOwner() string {
-	host, err := os.Hostname()
-	if err != nil || host == "" {
-		host = "unknown"
-	}
-	var nonce [4]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		// Fall back to the start time; uniqueness only needs to hold
-		// across concurrently-live processes on one directory.
-		return fmt.Sprintf("%s:%d:t%d", host, os.Getpid(), time.Now().UnixNano())
-	}
-	return fmt.Sprintf("%s:%d:%s", host, os.Getpid(), hex.EncodeToString(nonce[:]))
-}
-
-// NewManager creates the lease directory if needed and starts the
-// heartbeat loop.
-func NewManager(o Options) (*Manager, error) {
-	if o.Dir == "" {
-		return nil, errors.New("lease: empty directory")
-	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
+// NewManager creates the lease directory dir if needed; every lease file
+// it writes is tagged with plan, the sweep's plan hash. The owner id is
+// host:pid:start-time; the start time keeps ids unique across pid reuse.
+func NewManager(dir, plan string) (*Manager, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lease: dir: %w", err)
 	}
-	if o.Owner == "" {
-		o.Owner = defaultOwner()
-	}
-	if o.TTL <= 0 {
-		o.TTL = DefaultTTL
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.TTL / 4
-	}
-	m := &Manager{
-		dir:   o.Dir,
-		owner: o.Owner,
-		plan:  o.Plan,
-		ttl:   o.TTL,
-		beat:  o.Heartbeat,
-		held:  map[string]*Lease{},
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go m.heartbeat()
-	return m, nil
+	host, _ := os.Hostname()
+	owner := fmt.Sprintf("%s:%d:%x", host, os.Getpid(), time.Now().UnixNano())
+	return &Manager{dir: dir, owner: owner, plan: plan}, nil
 }
 
 // Owner returns the manager's owner id.
 func (m *Manager) Owner() string { return m.owner }
 
-// TTL returns the takeover threshold.
-func (m *Manager) TTL() time.Duration { return m.ttl }
-
-// path maps a cell key to its lease file. Keys are run-cache content
-// hashes (hex), but stay defensive about separators anyway.
-func (m *Manager) path(key string) string {
-	key = strings.Map(func(r rune) rune {
-		switch r {
-		case '/', '\\', ':':
-			return '_'
-		}
-		return r
-	}, key)
-	return filepath.Join(m.dir, key+".lease")
-}
-
-// Acquire claims the cell, returning ErrHeld while another live owner
-// holds it. A claim whose heartbeat has expired is taken over: the stale
-// file is renamed aside (at most one claimant's rename succeeds) and the
-// winner re-creates the lease; the returned lease then reports Stolen.
+// Acquire claims the cell key (a run-cache content hash, hence a safe
+// file name), returning ErrHeld while a live owner holds it. A dead
+// owner's leftover file is unlocked, so claiming it needs nothing special.
 func (m *Manager) Acquire(key string) (*Lease, error) {
-	path := m.path(key)
-	stolen := false
-	// Two creation attempts: the first against the existing state, the
-	// second after this process reaped an expired claim. Losing both
-	// means a live competitor; report ErrHeld and let the caller defer
-	// the cell.
-	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			payload, merr := json.Marshal(info{Owner: m.owner, Plan: m.plan, Start: time.Now().UTC()})
-			if merr == nil {
-				_, merr = f.Write(append(payload, '\n'))
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("lease: write %s: %w", path, merr)
-			}
-			l := &Lease{m: m, key: key, path: path, stolen: stolen}
-			m.mu.Lock()
-			m.held[key] = l
-			m.mu.Unlock()
-			return l, nil
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			return nil, fmt.Errorf("lease: create %s: %w", path, err)
-		}
-		st, serr := os.Stat(path)
-		if serr != nil {
-			// Vanished between create and stat: the holder released.
-			// Retry the create.
-			continue
-		}
-		if time.Since(st.ModTime()) <= m.ttl {
-			return nil, ErrHeld
-		}
-		// Expired: reap through rename so only one claimant wins the
-		// takeover even if several observe the expiry simultaneously.
-		reap := path + ".reap-" + hex.EncodeToString([]byte(m.owner))[:12]
-		if rerr := os.Rename(path, reap); rerr != nil {
-			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // someone else reaped or released; retry create
-			}
-			return nil, fmt.Errorf("lease: takeover %s: %w", path, rerr)
-		}
-		os.Remove(reap)
-		stolen = true
+	l, err := lock(filepath.Join(m.dir, key+".lease"), os.O_CREATE)
+	if err != nil {
+		return nil, err
 	}
-	return nil, ErrHeld
+	// The payload is for humans (`cat` a lease); the lock is the claim.
+	payload, _ := json.Marshal(struct{ Owner, Plan string }{m.owner, m.plan})
+	_ = l.f.Truncate(0)
+	_, _ = l.f.Write(append(payload, '\n'))
+	return l, nil
 }
 
-// heartbeat refreshes the mtime of every held lease until Close.
-func (m *Manager) heartbeat() {
-	defer close(m.done)
-	t := time.NewTicker(m.beat)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		m.mu.Lock()
-		leases := make([]*Lease, 0, len(m.held))
-		for _, l := range m.held {
-			leases = append(leases, l)
-		}
-		m.mu.Unlock()
-		for _, l := range leases {
-			if err := os.Chtimes(l.path, now, now); err != nil {
-				if errors.Is(err, fs.ErrNotExist) {
-					// The file vanished: another process presumed this
-					// one dead and took the cell over. Stop claiming it.
-					l.mu.Lock()
-					l.lost = true
-					l.mu.Unlock()
-					m.mu.Lock()
-					if m.held[l.key] == l {
-						delete(m.held, l.key)
-					}
-					m.mu.Unlock()
-				}
-				// Other refresh errors are transient; the TTL gives the
-				// next beat headroom to catch up.
-			}
-		}
-	}
-}
-
-// Close stops the heartbeat and releases every lease still held. It is
-// idempotent.
-func (m *Manager) Close() error {
-	m.stopOnce.Do(func() { close(m.stop) })
-	<-m.done
-	m.mu.Lock()
-	leases := make([]*Lease, 0, len(m.held))
-	for _, l := range m.held {
-		leases = append(leases, l)
-	}
-	m.mu.Unlock()
-	var err error
-	for _, l := range leases {
-		if rerr := l.Release(); rerr != nil && err == nil {
-			err = rerr
+// RemoveStale unlinks every lease file in the directory that no live
+// owner holds, whatever its plan: files stranded by workers killed
+// mid-cell. It creates no files; held leases are left to their holders.
+func (m *Manager) RemoveStale() error {
+	paths, err := filepath.Glob(filepath.Join(m.dir, "*.lease"))
+	for _, p := range paths {
+		if l, lerr := lock(p, 0); lerr == nil {
+			err = errors.Join(err, l.Release())
+		} else if !errors.Is(lerr, ErrHeld) && !errors.Is(lerr, fs.ErrNotExist) {
+			err = errors.Join(err, lerr)
 		}
 	}
 	return err
 }
 
-// Key returns the leased cell key.
-func (l *Lease) Key() string { return l.key }
-
-// Stolen reports whether this claim took over an expired lease.
-func (l *Lease) Stolen() bool { return l.stolen }
-
-// Lost reports whether the lease file vanished under us (this owner was
-// presumed dead and the cell taken over). Work already done is still
-// valid — run-cache writes are idempotent — but the cell may have been
-// duplicated.
-func (l *Lease) Lost() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lost
+// lock opens path with the extra open flags and locks it. A holder
+// unlinks its file before unlocking it, so between our open and our
+// lock the file may have left the path: a lock on that orphan excludes
+// nobody, so lock retries on the file now at path.
+func lock(path string, flag int) (*Lease, error) {
+	for {
+		f, err := lockFile(path, flag)
+		if err != nil {
+			return nil, err
+		}
+		fi, err := f.Stat()
+		pi, perr := os.Stat(path)
+		if err == nil && perr == nil && os.SameFile(fi, pi) {
+			return &Lease{f: f}, nil
+		}
+		f.Close()
+		if err = errors.Join(err, perr); err != nil && !errors.Is(perr, fs.ErrNotExist) {
+			return nil, fmt.Errorf("lease: %w", err)
+		}
+	}
 }
 
-// Release removes the lease file. Releasing a lost or already-released
-// lease is a no-op.
+// Release unlinks the lease file while still holding its lock, then
+// unlocks it by closing. Releasing twice is a no-op.
 func (l *Lease) Release() error {
-	l.mu.Lock()
-	if l.rel || l.lost {
-		l.mu.Unlock()
+	if l.f == nil {
 		return nil
 	}
-	l.rel = true
-	l.mu.Unlock()
-	l.m.mu.Lock()
-	if l.m.held[l.key] == l {
-		delete(l.m.held, l.key)
-	}
-	l.m.mu.Unlock()
-	if err := os.Remove(l.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("lease: release %s: %w", l.path, err)
-	}
-	return nil
-}
-
-// Holder returns the owner recorded in a cell's lease file, or "" when
-// the cell is unclaimed (or the file is unreadable/corrupt).
-func (m *Manager) Holder(key string) string {
-	data, err := os.ReadFile(m.path(key))
-	if err != nil {
-		return ""
-	}
-	var in info
-	if json.Unmarshal(data, &in) != nil {
-		return ""
-	}
-	return in.Owner
-}
-
-// SweepExpired removes lease files whose heartbeat is older than ttl and
-// orphaned takeover (".reap-") temporaries, returning how many files it
-// removed. It is safe to run concurrently with live workers: a live
-// owner's heartbeat keeps its leases younger than any sane ttl, and a
-// removed-but-live lease only costs a duplicated (idempotent) cell.
-func SweepExpired(dir string, ttl time.Duration) int {
-	if ttl <= 0 {
-		ttl = DefaultTTL
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	removed := 0
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		isReap := strings.Contains(name, ".lease.reap-")
-		if !isReap && !strings.HasSuffix(name, ".lease") {
-			continue
-		}
-		in, err := e.Info()
-		if err != nil {
-			continue
-		}
-		if !isReap && time.Since(in.ModTime()) <= ttl {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			removed++
-		}
-	}
-	return removed
-}
-
-// RemoveKeys removes the lease files of the given keys regardless of
-// age. Callers use it when the sweep-level journal proves the cells are
-// complete: any file still present belongs to an owner that died between
-// finishing the cell and releasing, or to a straggler redundantly
-// re-verifying a finished cell — in both cases removal is safe because
-// the cell's result is durable and idempotent.
-func RemoveKeys(dir string, keys []string) int {
-	m := Manager{dir: dir}
-	removed := 0
-	for _, k := range keys {
-		if err := os.Remove(m.path(k)); err == nil {
-			removed++
-		}
-	}
-	return removed
+	err := errors.Join(os.Remove(l.f.Name()), l.f.Close())
+	l.f = nil
+	return err
 }

@@ -1,203 +1,288 @@
 package lease
 
 import (
+	"bufio"
 	"errors"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func newTestManager(t *testing.T, dir string, ttl time.Duration) *Manager {
+func newTestManager(t *testing.T, dir string) *Manager {
 	t.Helper()
-	m, err := NewManager(Options{Dir: dir, TTL: ttl, Heartbeat: ttl / 4, Plan: "testplan"})
+	m, err := NewManager(dir, "testplan")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { m.Close() })
 	return m
 }
 
 func TestAcquireExcludes(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestManager(t, dir, time.Hour)
-	b := newTestManager(t, dir, time.Hour)
+	a := newTestManager(t, dir)
+	b := newTestManager(t, dir)
 
 	l, err := a.Acquire("cell1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Stolen() {
-		t.Error("fresh acquire reported stolen")
-	}
 	if _, err := b.Acquire("cell1"); !errors.Is(err, ErrHeld) {
 		t.Fatalf("second owner acquired a live lease: %v", err)
 	}
-	if got := b.Holder("cell1"); got != a.Owner() {
-		t.Errorf("Holder = %q, want %q", got, a.Owner())
+	// flock excludes per open file description: the holder's own
+	// manager is excluded too.
+	if _, err := a.Acquire("cell1"); !errors.Is(err, ErrHeld) {
+		t.Fatalf("holder's manager acquired its own live lease again: %v", err)
 	}
 	if err := l.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Acquire("cell1"); err != nil {
+	if err := l.Release(); err != nil {
+		t.Errorf("second release: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cell1.lease")); !os.IsNotExist(err) {
+		t.Errorf("released lease file still present: %v", err)
+	}
+	lb, err := b.Acquire("cell1")
+	if err != nil {
 		t.Fatalf("acquire after release: %v", err)
+	}
+	lb.Release()
+}
+
+// strand writes the file a SIGKILLed owner leaves behind: present on
+// disk, locked by nobody.
+func strand(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, "cell.lease"), []byte(`{"Owner":"dead"}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestExpiredTakeover(t *testing.T) {
 	dir := t.TempDir()
-	// A SIGKILLed owner leaves its lease file behind with no heartbeat;
-	// write that state directly (Close would release the lease).
-	path := filepath.Join(dir, "cell.lease")
-	if err := os.WriteFile(path, []byte(`{"owner":"dead"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Second)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatal(err)
-	}
-
-	b := newTestManager(t, dir, 50*time.Millisecond)
-	lb, err := b.Acquire("cell")
+	strand(t, dir)
+	l, err := newTestManager(t, dir).Acquire("cell")
 	if err != nil {
-		t.Fatalf("takeover of an expired lease failed: %v", err)
+		t.Fatalf("claiming a dead owner's lease failed: %v", err)
 	}
-	if !lb.Stolen() {
-		t.Error("takeover not reported as stolen")
-	}
-	if err := lb.Release(); err != nil {
+	if err := l.Release(); err != nil {
 		t.Fatal(err)
 	}
-	// No reap temporaries may linger.
-	matches, _ := filepath.Glob(filepath.Join(dir, "*reap*"))
-	if len(matches) != 0 {
-		t.Errorf("leaked reap files: %v", matches)
+	if matches, _ := filepath.Glob(filepath.Join(dir, "*")); len(matches) != 0 {
+		t.Errorf("files left after release: %v", matches)
 	}
 }
 
-// Close on a's manager releases held leases, so a crashed-owner
-// simulation must bypass Close. This test reaches into the file to mimic
-// a SIGKILLed owner precisely: the lease file exists, nobody heartbeats.
+// TestExpiredTakeoverRace races claimants for a dead owner's stranded
+// lease file: exactly one may win while the winner holds it.
 func TestExpiredTakeoverRace(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cell.lease")
-	if err := os.WriteFile(path, []byte(`{"owner":"dead"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(path, old, old); err != nil {
-		t.Fatal(err)
-	}
-
+	strand(t, dir)
 	const claimants = 8
-	managers := make([]*Manager, claimants)
-	for i := range managers {
-		managers[i] = newTestManager(t, dir, time.Minute)
-	}
-	winners := make([]bool, claimants)
-	var wg sync.WaitGroup
-	for i, m := range managers {
+	var (
+		won   atomic.Int32
+		start sync.WaitGroup
+		wg    sync.WaitGroup
+	)
+	held := make([]*Lease, claimants)
+	start.Add(1)
+	for i := 0; i < claimants; i++ {
+		m := newTestManager(t, dir)
 		wg.Add(1)
-		go func(i int, m *Manager) {
+		go func(i int) {
 			defer wg.Done()
-			if _, err := m.Acquire("cell"); err == nil {
-				winners[i] = true
+			start.Wait()
+			l, err := m.Acquire("cell")
+			if err == nil {
+				won.Add(1)
+				held[i] = l
 			} else if !errors.Is(err, ErrHeld) {
 				t.Errorf("claimant %d: %v", i, err)
 			}
-		}(i, m)
+		}(i)
+	}
+	start.Done()
+	wg.Wait()
+	if n := won.Load(); n != 1 {
+		t.Fatalf("%d claimants won the stranded lease, want exactly 1", n)
+	}
+	for _, l := range held {
+		if l != nil {
+			l.Release()
+		}
+	}
+}
+
+// TestRemoveStale checks end-of-sweep cleanup: it unlinks a dead
+// owner's file whatever its plan, leaves a live lease and other files
+// alone, and creates nothing.
+func TestRemoveStale(t *testing.T) {
+	dir := t.TempDir()
+	strand(t, dir)
+	other, err := NewManager(dir, "otherplan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := other.Acquire("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := newTestManager(t, dir).RemoveStale(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := filepath.Glob(filepath.Join(dir, "*"))
+	want := []string{filepath.Join(dir, "live.lease"), filepath.Join(dir, "notes.txt")}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("files after RemoveStale = %v, want %v", got, want)
+	}
+	if err := live.Release(); err != nil {
+		t.Fatalf("live lease disturbed by RemoveStale: %v", err)
+	}
+}
+
+// TestMutualExclusionStress hammers one key with acquire/release loops
+// and counts holders inside the critical section, while a cleaner runs
+// RemoveStale over the directory. The post-lock inode check is what
+// keeps this at one: without it, a claimant that opened the file just
+// before the holder (or the cleaner) unlinked it locks the orphan while
+// another claimant locks the fresh file at the path. A holder whose
+// file the cleaner unlinked would also fail its Release.
+func TestMutualExclusionStress(t *testing.T) {
+	dir := t.TempDir()
+	const workers, attempts = 8, 2000
+	var (
+		inside, overlaps atomic.Int32
+		acquired         atomic.Int64
+		wg               sync.WaitGroup
+		done             = make(chan struct{})
+		cleaned          = make(chan struct{})
+	)
+	go func() {
+		defer close(cleaned)
+		m := newTestManager(t, dir)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := m.RemoveStale(); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		m := newTestManager(t, dir)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < attempts; i++ {
+				l, err := m.Acquire("cell")
+				if errors.Is(err, ErrHeld) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				acquired.Add(1)
+				if inside.Add(1) != 1 {
+					overlaps.Add(1)
+				}
+				runtime.Gosched() // widen the window for a second holder
+				inside.Add(-1)
+				if err := l.Release(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	won := 0
-	for _, w := range winners {
-		if w {
-			won++
-		}
+	close(done)
+	<-cleaned
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("a second holder entered a held lease %d times", n)
 	}
-	if won != 1 {
-		t.Fatalf("%d claimants won the expired lease, want exactly 1", won)
-	}
-}
-
-func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
-	dir := t.TempDir()
-	a := newTestManager(t, dir, 80*time.Millisecond)
-	l, err := a.Acquire("cell")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newTestManager(t, dir, 80*time.Millisecond)
-	deadline := time.Now().Add(400 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if _, err := b.Acquire("cell"); !errors.Is(err, ErrHeld) {
-			t.Fatalf("heartbeated lease was lost or stolen: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if l.Lost() {
-		t.Error("live lease marked lost")
+	if acquired.Load() == 0 {
+		t.Fatal("no claimant ever acquired the lease")
 	}
 }
 
-func TestLostLeaseDetected(t *testing.T) {
+// Env knobs for the re-exec'd lease holder.
+const (
+	holderDirEnv = "PROFESS_LEASE_HOLDER_DIR"
+	holderReady  = "lease-holder: acquired"
+)
+
+// TestLeaseHolderProcess is the re-exec'd holder, not a test in its own
+// right: it acquires "cell", announces it on stdout and holds the lease
+// until killed (or until its stdin closes).
+func TestLeaseHolderProcess(t *testing.T) {
+	dir := os.Getenv(holderDirEnv)
+	if dir == "" {
+		t.Skip("re-exec helper for TestKill9ReleasesLease")
+	}
+	if _, err := newTestManager(t, dir).Acquire("cell"); err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout.WriteString(holderReady + "\n")
+	io.Copy(io.Discard, os.Stdin)
+}
+
+// TestKill9ReleasesLease pins the crash contract: a live holder in
+// another process excludes us, and the moment it is SIGKILLed and waited
+// for its lease is free, with no expiry to wait out.
+func TestKill9ReleasesLease(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestManager(t, dir, 40*time.Millisecond)
-	l, err := a.Acquire("cell")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestLeaseHolderProcess$", "-test.count=1")
+	cmd.Env = append(os.Environ(), holderDirEnv+"="+dir)
+	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An operator (or a takeover) removes the file under the owner.
-	if err := os.Remove(filepath.Join(dir, "cell.lease")); err != nil {
+	defer stdin.Close()
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !l.Lost() {
-		if time.Now().After(deadline) {
-			t.Fatal("lost lease never detected by heartbeat")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ready := false
+	for sc := bufio.NewScanner(stdout); !ready && sc.Scan(); {
+		ready = strings.Contains(sc.Text(), holderReady)
+	}
+	if !ready {
+		cmd.Wait()
+		t.Fatal("holder process exited without acquiring the lease")
+	}
+
+	m := newTestManager(t, dir)
+	if _, err := m.Acquire("cell"); !errors.Is(err, ErrHeld) {
+		t.Fatalf("acquired a lease held by a live process: %v", err)
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait() // reports the kill; the kernel has dropped the lock once it returns
+	l, err := m.Acquire("cell")
+	if err != nil {
+		t.Fatalf("lease of a killed holder not free at once: %v", err)
 	}
 	if err := l.Release(); err != nil {
-		t.Errorf("releasing a lost lease: %v", err)
-	}
-}
-
-func TestSweepExpired(t *testing.T) {
-	dir := t.TempDir()
-	a := newTestManager(t, dir, time.Hour)
-	if _, err := a.Acquire("live"); err != nil {
 		t.Fatal(err)
-	}
-	// A dead owner's lease and an orphaned reap temp.
-	for _, name := range []string{"dead.lease", "dead2.lease.reap-abc"} {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		old := time.Now().Add(-time.Hour)
-		if err := os.Chtimes(p, old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := SweepExpired(dir, time.Minute); n != 2 {
-		t.Errorf("SweepExpired removed %d, want 2", n)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "live.lease")); err != nil {
-		t.Errorf("live lease swept: %v", err)
-	}
-}
-
-func TestRemoveKeys(t *testing.T) {
-	dir := t.TempDir()
-	a := newTestManager(t, dir, time.Hour)
-	if _, err := a.Acquire("k1"); err != nil {
-		t.Fatal(err)
-	}
-	if n := RemoveKeys(dir, []string{"k1", "missing"}); n != 1 {
-		t.Errorf("RemoveKeys removed %d, want 1", n)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "k1.lease")); !os.IsNotExist(err) {
-		t.Error("k1 lease survived RemoveKeys")
 	}
 }

@@ -529,12 +529,6 @@ type ExecOptions struct {
 	// resuming it. Only set it when no other worker process is attached
 	// to the sweep.
 	Fresh bool
-	// LeaseTTL is how stale a cell claim's heartbeat may grow before
-	// other workers presume its owner dead and take the cell over
-	// (default 10s).
-	LeaseTTL time.Duration
-	// Heartbeat is the lease refresh period (default LeaseTTL/4).
-	Heartbeat time.Duration
 	// Poll is how often a worker re-checks cells held by other processes
 	// and tails the shared journal while waiting (default 200ms).
 	Poll time.Duration
@@ -545,19 +539,11 @@ type ExecOptions struct {
 	// RetryBackoff is the base delay between attempts at one cell; it
 	// doubles per attempt and is capped at 16x (default 100ms).
 	RetryBackoff time.Duration
-	// Owner overrides the lease owner id (default host:pid:nonce).
-	Owner string
 }
 
 func (o ExecOptions) withDefaults() ExecOptions {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = lease.DefaultTTL
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.LeaseTTL / 4
 	}
 	if o.Poll <= 0 {
 		o.Poll = 200 * time.Millisecond
@@ -583,9 +569,6 @@ type ExecReport struct {
 	// External counts cells completed by another live process while this
 	// one waited.
 	External int
-	// Stolen counts expired leases this process took over from
-	// presumed-dead owners.
-	Stolen int
 	// Retries counts transient per-cell attempt retries.
 	Retries int
 	// Failed counts cells that exhausted their attempts.
@@ -676,8 +659,8 @@ func (st *execState) next() (i int, settled bool) {
 }
 
 // releaseHeld flips every held-elsewhere cell back to pending so the
-// next claim attempt re-tests its lease (which may have expired or been
-// released).
+// next claim attempt re-tests its lease (its holder may have released it
+// or died).
 func (st *execState) releaseHeld() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -708,22 +691,15 @@ func (st *execState) set(i, status int, err error) {
 	}
 }
 
-// Execute simulates every planned cell once on one global worker pool,
-// longest-expected-job-first. It is ExecuteOpts with defaults; see there
-// for the durability contract.
-func (p *SweepPlan) Execute(ctx context.Context, parallelism int) error {
-	_, err := p.ExecuteOpts(ctx, ExecOptions{Parallelism: parallelism})
-	return err
-}
-
-// ExecuteOpts simulates every planned cell, crash-safely and
+// ExecuteOpts simulates every planned cell once on one global worker
+// pool, longest-expected-job-first, crash-safely and
 // multi-process-safely when the persistent run cache is configured:
 //
-//   - Each cell is claimed through a heartbeat-refreshed lease file
-//     under <cachedir>/leases, so any number of processes (or hosts
-//     sharing the directory) can execute one plan without duplicating
-//     work; a worker that dies mid-cell is presumed dead after LeaseTTL
-//     and its cells are taken over.
+//   - Each cell is claimed through a flock'd lease file under
+//     <cachedir>/leases, so any number of processes on one host can
+//     execute one plan without duplicating work. The kernel releases a
+//     dead worker's leases, kill -9 included, so its cells are claimable
+//     at once.
 //   - Progress is journaled to an append-only JSONL file under
 //     <cachedir>/sweeps keyed by the plan hash. A fresh process resumes
 //     an interrupted sweep by replaying the journal and skipping cells
@@ -743,7 +719,7 @@ func (p *SweepPlan) Execute(ctx context.Context, parallelism int) error {
 // cell is attempted.
 func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecReport, error) {
 	if !RunCaching() {
-		return nil, errors.New("profess: Execute needs the run cache (SetRunCaching(true))")
+		return nil, errors.New("profess: ExecuteOpts needs the run cache (SetRunCaching(true))")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -765,9 +741,8 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	// Durable coordination state, engaged when the persistent tier is
 	// configured.
 	var (
-		mgr     *lease.Manager
-		jnl     *lease.Journal
-		doneKey = make([]string, 0, n)
+		mgr *lease.Manager
+		jnl *lease.Journal
 	)
 	if dir := RunCacheDir(); dir != "" && n > 0 {
 		sweepDir := filepath.Join(dir, "sweeps")
@@ -781,17 +756,10 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 			}
 		}
 		var err error
-		mgr, err = lease.NewManager(lease.Options{
-			Dir:       filepath.Join(dir, "leases"),
-			Owner:     opts.Owner,
-			Plan:      p.Hash(),
-			TTL:       opts.LeaseTTL,
-			Heartbeat: opts.Heartbeat,
-		})
+		mgr, err = lease.NewManager(filepath.Join(dir, "leases"), p.Hash())
 		if err != nil {
 			return nil, fmt.Errorf("profess: lease manager: %w", err)
 		}
-		defer mgr.Close()
 		jnl, err = lease.OpenJournal(jpath)
 		if err != nil {
 			return nil, fmt.Errorf("profess: sweep journal: %w", err)
@@ -869,16 +837,11 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 				return
 			}
 			if err != nil {
-				// Lease machinery broken (permissions, disk full):
-				// degrade to uncoordinated execution rather than
-				// wedging the sweep; the run cache keeps it correct.
+				// Lease machinery broken (permissions, no flock on this
+				// platform): degrade to uncoordinated execution rather
+				// than wedging the sweep; the run cache keeps it correct.
 				l = nil
 			} else {
-				if l.Stolen() {
-					st.mu.Lock()
-					st.rep.Stolen++
-					st.mu.Unlock()
-				}
 				defer l.Release()
 			}
 		}
@@ -970,71 +933,37 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	}
 	wg.Wait()
 
-	// Serve sampled cells: alias each original full-fidelity key to its
-	// sampled cell's completed result in the in-process cache tier, so the
-	// render phase — which asks for the full-fidelity keys — reads the
-	// sampled figures without simulating. A sampled cell that did not
-	// complete leaves its full key unaliased and the render phase
-	// simulates it at full fidelity — slower, but never wrong.
-	if len(p.Sampled) > 0 && ctx.Err() == nil {
-		byKey := make(map[string]*PlanCell, len(p.Cells))
-		for i := range p.Cells {
-			byKey[p.Cells[i].Key] = &p.Cells[i]
+	// alias serves key from the completed result of plan cell cellKey in
+	// the in-process cache tier, so the render phase reads it without
+	// simulating, and counts it. When that cell did not complete
+	// (failure, cancellation) key stays unaliased and the render phase
+	// simulates it for real — slower, but never wrong.
+	alias := func(key, cellKey string, count *int) {
+		st.mu.Lock()
+		i, ok := st.byKey[cellKey]
+		done := ok && st.status[i] == cellDone
+		st.mu.Unlock()
+		if !done {
+			return
 		}
-		for _, sc := range p.Sampled {
-			cell := byKey[sc.Key]
-			if cell == nil {
-				continue
-			}
-			st.mu.Lock()
-			i, ok := st.byKey[sc.Key]
-			done := ok && st.status[i] == cellDone
-			st.mu.Unlock()
-			if !done {
-				continue
-			}
-			res, err := runSimCtx(ctx, cell.Cfg, cell.Specs, cell.Scheme)
-			if err != nil {
-				continue // the sampled cell's own failure surfaces below
-			}
-			theRunCache.installAlias(sc.FullKey, res)
-			st.mu.Lock()
-			st.rep.Sampled++
-			st.mu.Unlock()
+		c := &p.Cells[i]
+		res, err := runSimCtx(ctx, c.Cfg, c.Specs, c.Scheme)
+		if err != nil {
+			return // the cell's own failure surfaces below
 		}
+		theRunCache.installAlias(key, res)
+		st.mu.Lock()
+		*count++
+		st.mu.Unlock()
 	}
-
-	// Serve pruned cells: alias each to its representative's completed
-	// result in the in-process cache tier, so the render phase reads the
-	// representative's figures under the pruned key without simulating.
-	// When the representative did not complete (failure, cancellation)
-	// the alias is skipped and the render phase simulates the pruned
-	// cell for real — slower, but never wrong.
-	if len(p.Pruned) > 0 && ctx.Err() == nil {
-		byKey := make(map[string]*PlanCell, len(p.Cells))
-		for i := range p.Cells {
-			byKey[p.Cells[i].Key] = &p.Cells[i]
+	if ctx.Err() == nil {
+		// Sampled cells serve their original full-fidelity keys; pruned
+		// cells are served by their representatives.
+		for _, sc := range p.Sampled {
+			alias(sc.FullKey, sc.Key, &st.rep.Sampled)
 		}
 		for _, pr := range p.Pruned {
-			repCell := byKey[pr.RepKey]
-			if repCell == nil {
-				continue
-			}
-			st.mu.Lock()
-			i, ok := st.byKey[pr.RepKey]
-			repDone := ok && st.status[i] == cellDone
-			st.mu.Unlock()
-			if !repDone {
-				continue
-			}
-			res, err := runSimCtx(ctx, repCell.Cfg, repCell.Specs, repCell.Scheme)
-			if err != nil {
-				continue // the representative's own failure surfaces below
-			}
-			theRunCache.installAlias(pr.Key, res)
-			st.mu.Lock()
-			st.rep.Pruned++
-			st.mu.Unlock()
+			alias(pr.Key, pr.RepKey, &st.rep.Pruned)
 		}
 	}
 
@@ -1045,20 +974,15 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 		if s == cellFailed && st.errs[i] != nil {
 			errs = append(errs, st.errs[i])
 		}
-		if s == cellDone {
-			doneKey = append(doneKey, p.Cells[i].Key)
-		}
 	}
 	st.mu.Unlock()
 
 	if mgr != nil {
-		// End-of-sweep hygiene: drop lease files for cells the journal
-		// proves complete (left by owners killed between completion and
-		// release, or by stragglers re-verifying finished cells) plus
-		// any expired leases and takeover temporaries. Live claims of
-		// unfinished cells are untouched.
-		lease.RemoveKeys(filepath.Join(RunCacheDir(), "leases"), doneKey)
-		lease.SweepExpired(filepath.Join(RunCacheDir(), "leases"), opts.LeaseTTL)
+		// End-of-sweep hygiene: a worker killed mid-cell leaves its
+		// unlocked lease file behind, in this plan or any other. Leases
+		// live workers still hold are left to them. A file this misses
+		// costs nothing: the next claimant locks it like a fresh one.
+		_ = mgr.RemoveStale()
 	}
 
 	// Cancellation is reported alone: callers distinguish "the user

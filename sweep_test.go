@@ -128,7 +128,7 @@ func TestSweepExecuteRenderByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Execute(nil, 2); err != nil {
+	if _, err := plan.ExecuteOpts(nil, ExecOptions{Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 	afterExec := RunCacheDetail()
@@ -157,7 +157,7 @@ func TestSweepExecuteRenderByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan2.Execute(nil, 2); err != nil {
+	if _, err := plan2.ExecuteOpts(nil, ExecOptions{Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got2 := map[string]string{}
@@ -298,7 +298,7 @@ func TestPlanSweepNeedsCaching(t *testing.T) {
 		t.Errorf("PlanSweep without caching: err = %v", err)
 	}
 	p := &SweepPlan{}
-	if err := p.Execute(nil, 1); err == nil || !strings.Contains(err.Error(), "run cache") {
-		t.Errorf("Execute without caching: err = %v", err)
+	if _, err := p.ExecuteOpts(nil, ExecOptions{Parallelism: 1}); err == nil || !strings.Contains(err.Error(), "run cache") {
+		t.Errorf("ExecuteOpts without caching: err = %v", err)
 	}
 }
